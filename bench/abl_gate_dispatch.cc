@@ -4,12 +4,17 @@
 //   wall ns/call — real time the simulator spends dispatching (steady_clock);
 //                  this is the cost the route cache eliminates.
 //   model cyc/call — charged guest cycles; identical for string vs. cached
-//                  (dispatch is free in the model), lower for batched (one
-//                  entry/exit pair amortized over the whole batch).
+//                  (dispatch is free in the model), lower for batched on
+//                  isolating backends (one entry/exit pair amortized over
+//                  the whole batch). A `none` item already costs a direct
+//                  call, so there is nothing to amortize there.
+// The exit code checks those model-cycle claims for every backend on every
+// run; wall-clock ratios move with host load, so they are only reported.
 // Pass --smoke for a fast CI run with tiny iteration counts.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "bench_util.h"
 #include "core/image_builder.h"
@@ -37,6 +42,7 @@ int main(int argc, char** argv) {
               "(cyc/call)", "(cyc/call)", "speedup", "speedup");
 
   double min_cache_speedup = 1e30;
+  std::string model_failures;  // Backends whose cycles break the claims.
   constexpr IsolationBackend kBackends[] = {
       IsolationBackend::kNone, IsolationBackend::kMpkSharedStack,
       IsolationBackend::kMpkSwitchedStack, IsolationBackend::kVmRpc};
@@ -72,23 +78,30 @@ int main(int argc, char** argv) {
     const double cache_speedup = by_name.wall_ns / cached.wall_ns;
     const double batch_speedup = by_name.wall_ns / batched.wall_ns;
     min_cache_speedup = std::min(min_cache_speedup, cache_speedup);
+    const std::string name(IsolationBackendName(backend));
+    const double cached_cycles = cached.CyclesPerCall(kIters);
+    const double batched_cycles = batched.CyclesPerCall(batched_bodies);
+    if (by_name.model_cycles_total != cached.model_cycles_total ||
+        (backend != IsolationBackend::kNone &&
+         batched_cycles >= cached_cycles)) {
+      model_failures += " " + name;
+    }
     std::printf("%-14s %10.1f %10.1f %10.1f %12.1f %12.1f %12.1f %8.2fx "
                 "%8.2fx\n",
-                std::string(IsolationBackendName(backend)).c_str(),
-                by_name.wall_ns, cached.wall_ns, batched.wall_ns,
-                by_name.CyclesPerCall(kIters), cached.CyclesPerCall(kIters),
-                batched.CyclesPerCall(batched_bodies), cache_speedup,
-                batch_speedup);
+                name.c_str(), by_name.wall_ns, cached.wall_ns,
+                batched.wall_ns, by_name.CyclesPerCall(kIters), cached_cycles,
+                batched_cycles, cache_speedup, batch_speedup);
   }
 
   std::printf("\n# Checks:\n");
   std::printf("  cached vs string wall-clock speedup (worst backend): "
-              "%.2fx (target: >=2x)\n",
+              "%.2fx (reported, not gated)\n",
               min_cache_speedup);
+  const std::string verdict =
+      model_failures.empty() ? "yes" : "NO on" + model_failures;
   std::printf("  string and cached charge identical model cycles; batched "
-              "amortizes one entry/exit pair over %llu bodies\n",
-              static_cast<unsigned long long>(kBatchLen));
-  // Smoke runs are too short for stable wall-clock ratios; only gate the
-  // exit code on the full run.
-  return (smoke || min_cache_speedup >= 2.0) ? 0 : 1;
+              "amortizes one entry/exit pair over %llu bodies and charges "
+              "fewer on isolating backends: %s\n",
+              static_cast<unsigned long long>(kBatchLen), verdict.c_str());
+  return model_failures.empty() ? 0 : 1;
 }

@@ -2,21 +2,93 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <memory>
 
 #include "support/strings.h"
 
 namespace flexos {
+
+// The frame slots of one Map call, shared by every page entry that maps one
+// of its pages, aliases included. The simulator runs on one host thread, so
+// the mapping count is a plain integer.
+struct PageRegion {
+  explicit PageRegion(uint64_t pages) : frames(pages) {}
+
+  std::vector<std::unique_ptr<PageData>> frames;  // Null until first write.
+  uint64_t mappings = 0;  // Page entries that point at this region.
+};
+
 namespace {
 
 constexpr bool PageAligned(uint64_t value) { return value % kPageSize == 0; }
 
+// What every never-written page reads as; const, so no write can reach it.
+constexpr PageData kZeroPage{};
+
+// Recycled frames, each all zero. Never destroyed, so it outlives every
+// address space, static ones included.
+std::vector<std::unique_ptr<PageData>>& FreeFrames() {
+  static auto* const frames = new std::vector<std::unique_ptr<PageData>>();
+  return *frames;
+}
+
+// The page's frame, or the zero page until the page's first write.
+const PageData& View(const PageEntry& page) {
+  const PageData* frame = page.region->frames[page.slot].get();
+  return frame != nullptr ? *frame : kZeroPage;
+}
+
+// The page's frame; the page's first write takes one from the free list.
+PageData& Materialize(const PageEntry& page) {
+  std::unique_ptr<PageData>& frame = page.region->frames[page.slot];
+  if (frame == nullptr) {
+    std::vector<std::unique_ptr<PageData>>& free_frames = FreeFrames();
+    if (free_frames.empty()) {
+      frame = std::make_unique<PageData>();
+    } else {
+      frame = std::move(free_frames.back());
+      free_frames.pop_back();
+    }
+  }
+  return *frame;
+}
+
+// Drops one page's mapping. The region's last mapping re-zeroes its frames
+// onto the free list and deletes the region.
+void ReleasePage(PageEntry& page) {
+  PageRegion* region = page.region;
+  page = PageEntry{};
+  if (region == nullptr || --region->mappings > 0) {
+    return;
+  }
+  for (std::unique_ptr<PageData>& frame : region->frames) {
+    if (frame != nullptr) {
+      frame->bytes.fill(0);
+      frame->shadow.fill(0);
+      FreeFrames().push_back(std::move(frame));
+    }
+  }
+  delete region;
+}
+
 }  // namespace
+
+size_t RecycledFrameCount() { return FreeFrames().size(); }
 
 AddressSpace::AddressSpace(Machine& machine, std::string name,
                            uint64_t size_bytes)
     : machine_(machine), name_(std::move(name)) {
   FLEXOS_CHECK(PageAligned(size_bytes), "address space size not page-aligned");
+  FLEXOS_CHECK(size_bytes / kPageSize <= std::numeric_limits<uint32_t>::max(),
+               "address space too large for 32-bit frame slots");
   pages_.resize(size_bytes / kPageSize);
+}
+
+AddressSpace::~AddressSpace() {
+  for (PageEntry& page : pages_) {
+    ReleasePage(page);
+  }
 }
 
 Status AddressSpace::Map(Gaddr addr, uint64_t size, Pkey key, bool writable) {
@@ -38,11 +110,15 @@ Status AddressSpace::Map(Gaddr addr, uint64_t size, Pkey key, bool writable) {
                               static_cast<unsigned long long>(i * kPageSize)));
     }
   }
-  for (uint64_t i = first; i < first + count; ++i) {
-    pages_[i].data = std::make_shared<PageData>();
-    pages_[i].key = key;
-    pages_[i].writable = writable;
-    pages_[i].guard = false;
+  auto* region = new PageRegion(count);
+  region->mappings = count;
+  for (uint64_t i = 0; i < count; ++i) {
+    PageEntry& page = pages_[first + i];
+    page.region = region;
+    page.slot = static_cast<uint32_t>(i);
+    page.key = key;
+    page.writable = writable;
+    page.guard = false;
   }
   return Status::Ok();
 }
@@ -71,10 +147,8 @@ Status AddressSpace::MapAlias(Gaddr dst_addr, AddressSpace& source,
   for (uint64_t i = 0; i < count; ++i) {
     const PageEntry& src = source.pages_[src_addr / kPageSize + i];
     PageEntry& dst = pages_[dst_addr / kPageSize + i];
-    dst.data = src.data;  // Shared backing: writes are visible in both.
-    dst.key = src.key;
-    dst.writable = src.writable;
-    dst.guard = false;
+    dst = src;  // Shared slot: a write through either space shows in both.
+    ++dst.region->mappings;
   }
   return Status::Ok();
 }
@@ -107,7 +181,7 @@ Status AddressSpace::Unmap(Gaddr addr, uint64_t size) {
   const uint64_t first = addr / kPageSize;
   const uint64_t count = size / kPageSize;
   for (uint64_t i = first; i < first + count; ++i) {
-    pages_[i] = PageEntry{};
+    ReleasePage(pages_[i]);
   }
   return Status::Ok();
 }
@@ -157,13 +231,13 @@ void AddressSpace::FaultUnmapped(Gaddr addr, AccessKind access) {
                      .detail = StrFormat("space '%s'", name_.c_str())});
 }
 
-PageData& AddressSpace::ResolvePage(Gaddr addr, AccessKind access,
-                                    CheckMode mode) {
+const PageEntry& AddressSpace::ResolvePage(Gaddr addr, AccessKind access,
+                                           CheckMode mode) {
   const uint64_t index = addr / kPageSize;
   if (index >= pages_.size()) {
     FaultUnmapped(addr, access);
   }
-  PageEntry& page = pages_[index];
+  const PageEntry& page = pages_[index];
   if (page.guard && mode == CheckMode::kChecked) {
     ++machine_.stats().traps;
     RaiseTrap(TrapInfo{.kind = TrapKind::kStackOverflow,
@@ -190,10 +264,10 @@ PageData& AddressSpace::ResolvePage(Gaddr addr, AccessKind access,
                          .detail = StrFormat("space '%s'", name_.c_str())});
     }
   }
-  return *page.data;
+  return page;
 }
 
-void AddressSpace::CheckShadow(PageData& page, Gaddr addr,
+void AddressSpace::CheckShadow(const PageData& page, Gaddr addr,
                                uint64_t in_page_off, uint64_t span,
                                AccessKind access) {
   const uint64_t first_granule = in_page_off / kShadowGranule;
@@ -238,17 +312,16 @@ void AddressSpace::ForEachChunk(Gaddr addr, uint64_t size, AccessKind access,
     const Gaddr current = addr + done;
     const uint64_t in_page_off = current % kPageSize;
     const uint64_t span = std::min(size - done, kPageSize - in_page_off);
-    PageData& page = ResolvePage(current, access, mode);
+    const PageEntry& page = ResolvePage(current, access, mode);
     if (mode == CheckMode::kChecked && machine_.context().shadow_checks) {
-      CheckShadow(page, current, in_page_off, span, access);
+      CheckShadow(View(page), current, in_page_off, span, access);
     }
     if (mode == CheckMode::kChecked && machine_.race_detection() &&
         access != AccessKind::kExecute) {
       // flexrace probe: key-0 pages are the shared region — the only memory
       // visible from more than one compartment (and hence more than one
       // vCPU). Immutable pages cannot race.
-      const PageEntry& entry = pages_[current / kPageSize];
-      if (entry.key == 0 && entry.writable) {
+      if (page.key == 0 && page.writable) {
         machine_.ProbeSharedAccess(current, span,
                                    access == AccessKind::kWrite);
       }
@@ -260,26 +333,28 @@ void AddressSpace::ForEachChunk(Gaddr addr, uint64_t size, AccessKind access,
 
 void AddressSpace::Read(Gaddr addr, void* dst, uint64_t size) {
   ForEachChunk(addr, size, AccessKind::kRead, CheckMode::kChecked,
-               [&](PageData& page, uint64_t off, uint64_t span,
+               [&](const PageEntry& page, uint64_t off, uint64_t span,
                    uint64_t done) {
                  std::memcpy(static_cast<uint8_t*>(dst) + done,
-                             page.bytes.data() + off, span);
+                             View(page).bytes.data() + off, span);
                });
 }
 
 void AddressSpace::Write(Gaddr addr, const void* src, uint64_t size) {
   ForEachChunk(addr, size, AccessKind::kWrite, CheckMode::kChecked,
-               [&](PageData& page, uint64_t off, uint64_t span,
+               [&](const PageEntry& page, uint64_t off, uint64_t span,
                    uint64_t done) {
-                 std::memcpy(page.bytes.data() + off,
+                 std::memcpy(Materialize(page).bytes.data() + off,
                              static_cast<const uint8_t*>(src) + done, span);
                });
 }
 
 void AddressSpace::Fill(Gaddr addr, uint8_t value, uint64_t size) {
   ForEachChunk(addr, size, AccessKind::kWrite, CheckMode::kChecked,
-               [&](PageData& page, uint64_t off, uint64_t span, uint64_t) {
-                 std::memset(page.bytes.data() + off, value, span);
+               [&](const PageEntry& page, uint64_t off, uint64_t span,
+                   uint64_t) {
+                 std::memset(Materialize(page).bytes.data() + off, value,
+                             span);
                });
 }
 
@@ -304,8 +379,8 @@ void AddressSpace::Poison(Gaddr addr, uint64_t size, uint8_t code) {
     const Gaddr current = addr + done;
     const uint64_t in_page_off = current % kPageSize;
     const uint64_t span = std::min(size - done, kPageSize - in_page_off);
-    PageData& page =
-        ResolvePage(current, AccessKind::kWrite, CheckMode::kUnchecked);
+    PageData& page = Materialize(
+        ResolvePage(current, AccessKind::kWrite, CheckMode::kUnchecked));
     // Poison whole granules; a partial head/tail granule is poisoned
     // conservatively only when fully covered, else left as-is (the allocator
     // aligns redzones to the granule so this path is exact in practice).
@@ -329,8 +404,8 @@ void AddressSpace::Unpoison(Gaddr addr, uint64_t size) {
     const Gaddr current = addr + done;
     const uint64_t in_page_off = current % kPageSize;
     const uint64_t span = std::min(size - done, kPageSize - in_page_off);
-    PageData& page =
-        ResolvePage(current, AccessKind::kWrite, CheckMode::kUnchecked);
+    PageData& page = Materialize(
+        ResolvePage(current, AccessKind::kWrite, CheckMode::kUnchecked));
     const uint64_t begin = in_page_off;
     const uint64_t end = in_page_off + span;
     for (uint64_t g = begin / kShadowGranule;
@@ -357,8 +432,8 @@ bool AddressSpace::IsPoisoned(Gaddr addr, uint64_t size) {
     const Gaddr current = addr + done;
     const uint64_t in_page_off = current % kPageSize;
     const uint64_t span = std::min(size - done, kPageSize - in_page_off);
-    PageData& page =
-        ResolvePage(current, AccessKind::kRead, CheckMode::kUnchecked);
+    const PageData& page = View(
+        ResolvePage(current, AccessKind::kRead, CheckMode::kUnchecked));
     const uint64_t first = in_page_off / kShadowGranule;
     const uint64_t last = (in_page_off + span - 1) / kShadowGranule;
     for (uint64_t g = first; g <= last; ++g) {
@@ -384,18 +459,18 @@ bool AddressSpace::IsPoisoned(Gaddr addr, uint64_t size) {
 
 void AddressSpace::ReadUnchecked(Gaddr addr, void* dst, uint64_t size) {
   ForEachChunk(addr, size, AccessKind::kRead, CheckMode::kUnchecked,
-               [&](PageData& page, uint64_t off, uint64_t span,
+               [&](const PageEntry& page, uint64_t off, uint64_t span,
                    uint64_t done) {
                  std::memcpy(static_cast<uint8_t*>(dst) + done,
-                             page.bytes.data() + off, span);
+                             View(page).bytes.data() + off, span);
                });
 }
 
 void AddressSpace::WriteUnchecked(Gaddr addr, const void* src, uint64_t size) {
   ForEachChunk(addr, size, AccessKind::kWrite, CheckMode::kUnchecked,
-               [&](PageData& page, uint64_t off, uint64_t span,
+               [&](const PageEntry& page, uint64_t off, uint64_t span,
                    uint64_t done) {
-                 std::memcpy(page.bytes.data() + off,
+                 std::memcpy(Materialize(page).bytes.data() + off,
                              static_cast<const uint8_t*>(src) + done, span);
                });
 }

@@ -1,15 +1,17 @@
 // Guest address spaces. Every guest page carries an MPK protection key and a
 // writable bit; every access is checked against the machine's current PKRU
 // and (when the executing code is instrumented) against ASAN-lite shadow
-// memory. Pages are reference-counted so a region can be mapped into several
-// address spaces at the same guest address — the mechanism behind the
-// VM-backend shared heap.
+// memory. Pages are demand-zero: a page that was never written has no frame
+// and reads as one shared zero page; its first write takes a zeroed frame
+// from a process-wide free list. Each Map creates one reference-counted
+// region of frame slots, which MapAlias maps into further address spaces at
+// the same guest address — the mechanism behind the VM-backend shared heap.
 #ifndef FLEXOS_VMEM_ADDRESS_SPACE_H_
 #define FLEXOS_VMEM_ADDRESS_SPACE_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,25 +33,35 @@ inline constexpr uint8_t kShadowHeapRedzone = 0xfa;
 inline constexpr uint8_t kShadowFreed = 0xfd;
 inline constexpr uint8_t kShadowStackGuard = 0xfe;
 
-// Backing storage of one guest page, shareable across address spaces.
+// One frame: the bytes and shadow of a written guest page.
 struct PageData {
   std::array<uint8_t, kPageSize> bytes{};
   std::array<uint8_t, kShadowPerPage> shadow{};
 };
 
+// Zeroed frames waiting on the process-wide free list. A region's frames
+// return to it, re-zeroed, when the region's last mapping goes.
+size_t RecycledFrameCount();
+
+// The backing of one Map call: a frame slot per page, empty until that
+// page's first write (defined in address_space.cc).
+struct PageRegion;
+
 struct PageEntry {
-  std::shared_ptr<PageData> data;  // Null when unmapped.
+  PageRegion* region = nullptr;  // Null when unmapped.
+  uint32_t slot = 0;             // This page's frame slot in `region`.
   Pkey key = 0;
   bool writable = true;
   bool guard = false;  // Guard pages trap on any access (stack overflow).
 
-  bool mapped() const { return data != nullptr; }
+  bool mapped() const { return region != nullptr; }
 };
 
 class AddressSpace {
  public:
   // `size_bytes` must be page-aligned. `name` is used in fault diagnostics.
   AddressSpace(Machine& machine, std::string name, uint64_t size_bytes);
+  ~AddressSpace();
 
   AddressSpace(const AddressSpace&) = delete;
   AddressSpace& operator=(const AddressSpace&) = delete;
@@ -130,10 +142,10 @@ class AddressSpace {
   enum class CheckMode { kChecked, kUnchecked };
 
   // Resolves one page and enforces mapping/PKRU/guard checks.
-  PageData& ResolvePage(Gaddr addr, AccessKind access, CheckMode mode);
+  const PageEntry& ResolvePage(Gaddr addr, AccessKind access, CheckMode mode);
 
   // Enforces shadow validity for an in-page span, if instrumentation is on.
-  void CheckShadow(PageData& page, Gaddr addr, uint64_t in_page_off,
+  void CheckShadow(const PageData& page, Gaddr addr, uint64_t in_page_off,
                    uint64_t span, AccessKind access);
 
   // Walks [addr, addr+size) page by page invoking fn(page, in_page_off, n).

@@ -147,6 +147,84 @@ TEST_F(VmemTest, AliasSharesBacking) {
   EXPECT_EQ(space_.ReadT<uint32_t>(64), 7u);
 }
 
+TEST_F(VmemTest, WriteThenAliasSharesBacking) {
+  AddressSpace other(machine_, "other", 64 * kPageSize);
+  ASSERT_TRUE(space_.Map(0, 2 * kPageSize, 0).ok());
+  space_.WriteT<uint32_t>(kPageSize + 64, 0xfeedface);
+  ASSERT_TRUE(other.MapAlias(0, space_, 0, 2 * kPageSize).ok());
+  EXPECT_EQ(other.ReadT<uint32_t>(kPageSize + 64), 0xfeedfaceu);
+  // The page nobody wrote yet is shared too: its first write, through the
+  // alias, shows in the source.
+  EXPECT_EQ(other.ReadT<uint32_t>(64), 0u);
+  other.WriteT<uint32_t>(64, 9);
+  EXPECT_EQ(space_.ReadT<uint32_t>(64), 9u);
+}
+
+TEST_F(VmemTest, AliasKeepsBackingAfterSourceGoes) {
+  AddressSpace alias(machine_, "alias", 64 * kPageSize);
+  {
+    AddressSpace source(machine_, "source", 64 * kPageSize);
+    ASSERT_TRUE(source.Map(0, kPageSize, 0).ok());
+    source.WriteT<uint32_t>(0, 42);
+    ASSERT_TRUE(alias.MapAlias(0, source, 0, kPageSize).ok());
+  }
+  EXPECT_EQ(alias.ReadT<uint32_t>(0), 42u);
+}
+
+TEST_F(VmemTest, UnmapThenMapReadsZeros) {
+  ASSERT_TRUE(space_.Map(0, 2 * kPageSize, 1).ok());
+  space_.Fill(0, 0xcc, 2 * kPageSize);
+  ASSERT_TRUE(space_.Unmap(0, kPageSize).ok());
+  ASSERT_TRUE(space_.Map(0, kPageSize, 1).ok());
+  std::vector<uint8_t> out(kPageSize, 0xff);
+  space_.Read(0, out.data(), kPageSize);
+  EXPECT_EQ(out, std::vector<uint8_t>(kPageSize, 0));
+  // The page left mapped keeps its data.
+  space_.Read(kPageSize, out.data(), kPageSize);
+  EXPECT_EQ(out, std::vector<uint8_t>(kPageSize, 0xcc));
+}
+
+TEST_F(VmemTest, NeverWrittenPageKeepsProtectionAndGuardTraps) {
+  ASSERT_TRUE(space_.Map(0, kPageSize, 3).ok());
+  ASSERT_TRUE(space_.MapGuard(kPageSize, kPageSize).ok());
+  machine_.context().pkru = Pkru::AllowAll().WithAccess(3, false, false);
+  uint8_t byte = 0x5a;
+  try {
+    space_.Read(0, &byte, 1);
+    FAIL();
+  } catch (const TrapException& trap) {
+    EXPECT_EQ(trap.info().kind, TrapKind::kProtectionFault);
+    EXPECT_EQ(trap.info().pkey, 3);
+  }
+  machine_.context().pkru = Pkru::AllowAll();
+  try {
+    space_.Read(kPageSize, &byte, 1);
+    FAIL();
+  } catch (const TrapException& trap) {
+    EXPECT_EQ(trap.info().kind, TrapKind::kStackOverflow);
+  }
+  EXPECT_EQ(byte, 0x5a);  // Neither read was served from the zero page.
+}
+
+TEST_F(VmemTest, RecycledFrameComesBackZeroed) {
+  {
+    AddressSpace old_owner(machine_, "old", kPageSize);
+    ASSERT_TRUE(old_owner.Map(0, kPageSize, 0).ok());
+    old_owner.Fill(0, 0xee, kPageSize);
+    old_owner.Poison(0, kPageSize, kShadowFreed);
+  }
+  const size_t free_frames = RecycledFrameCount();
+  ASSERT_TRUE(space_.Map(0, kPageSize, 0).ok());
+  space_.WriteT<uint8_t>(0, 0);
+  // The write took the frame the old owner returned last.
+  EXPECT_EQ(RecycledFrameCount(), free_frames - 1);
+  machine_.context().shadow_checks = true;
+  std::vector<uint8_t> out(kPageSize, 0xff);
+  space_.Read(0, out.data(), kPageSize);
+  EXPECT_EQ(out, std::vector<uint8_t>(kPageSize, 0));
+  EXPECT_FALSE(space_.IsPoisoned(0, kPageSize));
+}
+
 // --- ASAN-lite shadow -----------------------------------------------------
 
 class ShadowTest : public VmemTest {
@@ -196,6 +274,24 @@ TEST_F(ShadowTest, ChecksOffWhenUninstrumented) {
   machine_.context().shadow_checks = false;
   uint8_t byte = 0;
   EXPECT_NO_THROW(space_.Read(64, &byte, 1));
+}
+
+TEST_F(ShadowTest, NeverWrittenPageReadsZeroAndTakesNoFrame) {
+  {
+    // Leaves at least one frame on the free list, so that taking a frame
+    // shows as a drop in RecycledFrameCount().
+    AddressSpace donor(machine_, "donor", kPageSize);
+    ASSERT_TRUE(donor.Map(0, kPageSize, 0).ok());
+    donor.WriteT<uint8_t>(0, 1);
+  }
+  const size_t free_frames = RecycledFrameCount();
+  std::vector<uint8_t> out(4 * kPageSize, 0xff);
+  space_.Read(0, out.data(), out.size());
+  EXPECT_EQ(out, std::vector<uint8_t>(4 * kPageSize, 0));
+  EXPECT_FALSE(space_.IsPoisoned(0, 4 * kPageSize));
+  EXPECT_EQ(RecycledFrameCount(), free_frames);
+  space_.WriteT<uint8_t>(kPageSize, 1);
+  EXPECT_EQ(RecycledFrameCount(), free_frames - 1);
 }
 
 TEST_F(ShadowTest, IsPoisonedReflectsState) {
